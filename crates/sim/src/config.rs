@@ -6,6 +6,8 @@ use emissary_core::dual::RecencyFlavor;
 use emissary_core::spec::{PolicySpec, PolicySpecError};
 use emissary_frontend::FrontendConfig;
 
+use crate::sched::{MAX_DEP_DISTANCE, SEQ_RING};
+
 /// Why a [`SimConfig`] was rejected before simulation started.
 ///
 /// Returned by [`SimConfig::validate`]; the experiment harness rejects a
@@ -16,6 +18,10 @@ pub enum ConfigError {
     /// A cache's geometry is degenerate (zero ways, zero sets, or a
     /// non-power-of-two set count).
     Geometry(String),
+    /// A core parameter the scheduler cannot simulate: a zero pipeline
+    /// width or scheduler window, a zero execution latency, or a ROB too
+    /// large for the scheduler's sequence ring.
+    Core(String),
     /// The L2 policy is inconsistent with the L2 geometry or carries a
     /// degenerate selection expression.
     Policy(PolicySpecError),
@@ -37,6 +43,7 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::Geometry(msg) => write!(f, "cache geometry: {msg}"),
+            ConfigError::Core(msg) => write!(f, "core: {msg}"),
             ConfigError::Policy(e) => write!(f, "l2 policy: {e}"),
             ConfigError::ZeroMeasureWindow => {
                 f.write_str("measure_instrs is zero; the measurement window would be empty")
@@ -193,12 +200,16 @@ impl SimConfig {
 
     /// Checks the configuration for degenerate values that would panic (or
     /// quietly corrupt metrics) deep inside the machine: bad cache
-    /// geometry, a protect-`N` at or above the L2 associativity, invalid
-    /// selection expressions, an empty measurement window, or a warmup
-    /// longer than the window it is supposed to warm up for.
+    /// geometry, core parameters the issue scheduler cannot simulate, a
+    /// protect-`N` at or above the L2 associativity, invalid selection
+    /// expressions, an empty measurement window, or a warmup longer than
+    /// the window it is supposed to warm up for.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if let Some(msg) = self.hierarchy.geometry_error() {
             return Err(ConfigError::Geometry(msg));
+        }
+        if let Some(msg) = self.core_error() {
+            return Err(ConfigError::Core(msg));
         }
         self.l2_policy.validate(self.hierarchy.l2.ways)?;
         if self.measure_instrs == 0 {
@@ -211,6 +222,40 @@ impl SimConfig {
             });
         }
         Ok(())
+    }
+
+    /// The first core parameter the issue scheduler cannot simulate.
+    ///
+    /// Zero widths and windows never issue or commit. A zero ALU or
+    /// data-path latency would let a consumer issue in its producer's
+    /// cycle, which the event-driven scheduler does not model (no shipped
+    /// configuration uses one). The ROB bound keeps every in-flight entry,
+    /// and every producer it can name, on its own slot of the seq ring.
+    fn core_error(&self) -> Option<String> {
+        let c = &self.core;
+        for (name, value) in [
+            ("decode_width", u64::from(c.decode_width)),
+            ("issue_width", u64::from(c.issue_width)),
+            ("commit_width", u64::from(c.commit_width)),
+            ("scheduler_window", c.scheduler_window as u64),
+            ("alu_latency", c.alu_latency),
+            ("l1d hit_latency", self.hierarchy.l1d.hit_latency),
+            ("l2 hit_latency", self.hierarchy.l2.hit_latency),
+            ("l3 hit_latency", self.hierarchy.l3.hit_latency),
+            ("dram_latency", self.hierarchy.dram_latency),
+        ] {
+            if value == 0 {
+                return Some(format!("{name} must be > 0"));
+            }
+        }
+        let max_rob = SEQ_RING - MAX_DEP_DISTANCE - 1;
+        (c.rob_entries > max_rob).then(|| {
+            format!(
+                "rob_entries {} exceeds {max_rob}, the most a {SEQ_RING}-entry seq ring \
+                 holds beside a {MAX_DEP_DISTANCE}-instruction dependence distance",
+                c.rob_entries
+            )
+        })
     }
 }
 
@@ -256,6 +301,13 @@ mod tests {
         ] {
             assert_eq!(cfg.validate(), Ok(()), "rejected {:?}", cfg.l2_policy);
         }
+    }
+
+    #[test]
+    fn largest_rob_the_seq_ring_holds_is_accepted() {
+        let mut c = SimConfig::default();
+        c.core.rob_entries = SEQ_RING - MAX_DEP_DISTANCE - 1;
+        assert_eq!(c.validate(), Ok(()));
     }
 
     /// One rejection case: label, mutated config, expected-error check.
@@ -320,6 +372,69 @@ mod tests {
                     c
                 },
                 |e| matches!(e, ConfigError::WarmupExceedsMeasure { .. }),
+            ),
+            (
+                "zero issue width",
+                {
+                    let mut c = base();
+                    c.core.issue_width = 0;
+                    c
+                },
+                |e| matches!(e, ConfigError::Core(_)),
+            ),
+            (
+                "zero decode width",
+                {
+                    let mut c = base();
+                    c.core.decode_width = 0;
+                    c
+                },
+                |e| matches!(e, ConfigError::Core(_)),
+            ),
+            (
+                "zero commit width",
+                {
+                    let mut c = base();
+                    c.core.commit_width = 0;
+                    c
+                },
+                |e| matches!(e, ConfigError::Core(_)),
+            ),
+            (
+                "zero scheduler window",
+                {
+                    let mut c = base();
+                    c.core.scheduler_window = 0;
+                    c
+                },
+                |e| matches!(e, ConfigError::Core(_)),
+            ),
+            (
+                "zero alu latency",
+                {
+                    let mut c = base();
+                    c.core.alu_latency = 0;
+                    c
+                },
+                |e| matches!(e, ConfigError::Core(_)),
+            ),
+            (
+                "zero l1d hit latency",
+                {
+                    let mut c = base();
+                    c.hierarchy.l1d.hit_latency = 0;
+                    c
+                },
+                |e| matches!(e, ConfigError::Core(_)),
+            ),
+            (
+                "rob too large for the seq ring",
+                {
+                    let mut c = base();
+                    c.core.rob_entries = SEQ_RING - MAX_DEP_DISTANCE;
+                    c
+                },
+                |e| matches!(e, ConfigError::Core(_)),
             ),
         ];
         for (label, cfg, expect) in cases {

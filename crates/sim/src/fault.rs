@@ -30,7 +30,7 @@ pub const DEFAULT_STALL_CYCLES: u64 = 4_000_000;
 #[derive(Debug, Clone)]
 pub struct FaultConfig {
     /// Abort when `Instant::now()` passes this deadline (checked every
-    /// 65 536 cycles to keep `Instant::now` off the hot path).
+    /// 4 096 cycles to keep `Instant::now` off the hot path).
     pub deadline: Option<Instant>,
     /// Abort when this many cycles elapse without a single commit.
     /// `None` disables the forward-progress watchdog.

@@ -40,6 +40,7 @@ pub mod fault;
 pub mod machine;
 pub mod report;
 pub mod runner;
+mod sched;
 
 pub use config::{ConfigError, CoreConfig, SimConfig};
 pub use fault::{FaultConfig, SimAbort};

@@ -48,11 +48,7 @@ use emissary_workloads::walker::{DynBlock, DynInstr, DynOp, Walker};
 use crate::config::SimConfig;
 use crate::fault::{FaultConfig, SimAbort};
 use crate::report::ReuseAttribution;
-
-/// Completion-time ring size; must exceed ROB size + max dep distance.
-const COMP_RING: usize = 4096;
-/// Sentinel for "not yet completed".
-const PENDING: u64 = u64::MAX;
+use crate::sched::Scheduler;
 
 /// Operation class of a ROB entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,14 +59,11 @@ enum OpClass {
     Branch,
 }
 
+/// A ROB entry; its completion cycle lives in the [`Scheduler`].
 #[derive(Debug)]
 struct RobEntry {
     seq: u64,
     op: OpClass,
-    dep1: u64,
-    dep2: u64,
-    issued: bool,
-    completed_at: u64,
     /// Terminator of a mispredicted block: triggers the re-steer.
     mispredict: bool,
 }
@@ -125,11 +118,10 @@ pub struct Machine<'p> {
     pfq: PrefetchQueue,
     decode_queue: VecDeque<Fetched>,
     rob: VecDeque<RobEntry>,
-    /// Seqs dispatched but not yet issued (the issue queue).
-    iq: VecDeque<u64>,
+    /// The issue queue: dispatched, not yet issued.
+    sched: Scheduler,
     lq_count: usize,
     sq_count: usize,
-    comp_time: Vec<u64>,
     next_seq: u64,
     now: u64,
     /// Staged (already predicted) block waiting for FTQ room.
@@ -186,10 +178,9 @@ impl<'p> Machine<'p> {
             pfq: PrefetchQueue::new(64),
             decode_queue: VecDeque::with_capacity(cfg.core.decode_queue),
             rob: VecDeque::with_capacity(cfg.core.rob_entries),
-            iq: VecDeque::with_capacity(cfg.core.iq_entries),
+            sched: Scheduler::default(),
             lq_count: 0,
             sq_count: 0,
-            comp_time: vec![0; COMP_RING],
             next_seq: 1,
             now: 0,
             staged: None,
@@ -344,7 +335,7 @@ impl<'p> Machine<'p> {
         let mut committed = 0;
         while committed < width {
             match self.rob.front() {
-                Some(e) if e.completed_at <= self.now => {
+                Some(e) if self.sched.completed_at(e.seq) <= self.now => {
                     let e = self.rob.pop_front().expect("front checked");
                     match e.op {
                         OpClass::Load(_) => self.lq_count -= 1,
@@ -379,49 +370,23 @@ impl<'p> Machine<'p> {
         let window = self.cfg.core.scheduler_window;
         let alu_latency = self.cfg.core.alu_latency;
         let resteer_penalty = self.cfg.core.resteer_penalty;
-        let front_seq = match self.rob.front() {
-            Some(e) => e.seq,
-            None => return,
+        let Some(front_seq) = self.rob.front().map(|e| e.seq) else {
+            return;
         };
-        // The scheduler only ever examines the oldest `window` entries and
-        // removes at most `width` of them, so scan a contiguous prefix
-        // in place and slide the untouched tail down once at the end —
-        // never walk the full queue per cycle (it is ~4× the window).
         let Machine {
-            iq,
+            sched,
             rob,
             hierarchy,
-            comp_time,
             stats,
             resteer_done_at,
             now,
             ..
         } = self;
         let now = *now;
-        let ready = |comp_time: &[u64], dep_seq: u64| {
-            dep_seq == 0 || comp_time[(dep_seq as usize) & (COMP_RING - 1)] <= now
-        };
-        let q = iq.make_contiguous();
-        let len = q.len();
-        let (mut issued, mut examined) = (0usize, 0usize);
-        let (mut read, mut write) = (0usize, 0usize);
-        while read < len && issued < width && examined < window {
-            let seq = q[read];
-            examined += 1;
-            let idx = (seq - front_seq) as usize;
-            // Entries ahead of front were committed already (impossible for
-            // unissued), so idx is in range.
-            let (dep1, dep2, op, mispredict) = {
-                let e = &rob[idx];
-                (e.dep1, e.dep2, e.op, e.mispredict)
-            };
-            if !ready(comp_time, dep1) || !ready(comp_time, dep2) {
-                q[write] = seq;
-                write += 1;
-                read += 1;
-                continue;
-            }
-            let completed_at = match op {
+        // Loads and stores reach the hierarchy in age order.
+        sched.issue_cycle(now, width, window, |seq| {
+            let e = &rob[(seq - front_seq) as usize];
+            let completed_at = match e.op {
                 OpClass::Alu | OpClass::Branch => now + alu_latency,
                 OpClass::Load(addr) => {
                     hierarchy
@@ -434,25 +399,13 @@ impl<'p> Machine<'p> {
                     now + 1
                 }
             };
-            {
-                let e = &mut rob[idx];
-                e.issued = true;
-                e.completed_at = completed_at;
-            }
-            comp_time[(seq as usize) & (COMP_RING - 1)] = completed_at;
-            if mispredict {
+            if e.mispredict {
                 // The mispredicted branch resolves: schedule the re-steer.
                 *resteer_done_at = Some(completed_at + resteer_penalty);
             }
-            issued += 1;
             stats.issued += 1;
-            read += 1;
-        }
-        if write != read {
-            q.copy_within(read..len, write);
-            let new_len = len - (read - write);
-            iq.truncate(new_len);
-        }
+            completed_at
+        });
     }
 
     // --- Decode / dispatch --------------------------------------------------
@@ -465,7 +418,7 @@ impl<'p> Machine<'p> {
             self.cfg.core.lq_entries,
             self.cfg.core.sq_entries,
         );
-        let backend_can_accept = self.rob.len() < rob_cap && self.iq.len() < iq_cap;
+        let backend_can_accept = self.rob.len() < rob_cap && self.sched.len() < iq_cap;
         let mut decoded = 0;
         while decoded < width {
             let Some(head) = self.decode_queue.front() else {
@@ -474,7 +427,7 @@ impl<'p> Machine<'p> {
             if head.ready_at > self.now {
                 break;
             }
-            if self.rob.len() >= rob_cap || self.iq.len() >= iq_cap {
+            if self.rob.len() >= rob_cap || self.sched.len() >= iq_cap {
                 break;
             }
             match head.instr.op {
@@ -497,24 +450,13 @@ impl<'p> Machine<'p> {
                     OpClass::Store(a)
                 }
             };
-            let dep = |d: u8| -> u64 {
-                if d == 0 || u64::from(d) >= seq {
-                    0
-                } else {
-                    seq - u64::from(d)
-                }
-            };
-            self.comp_time[(seq as usize) & (COMP_RING - 1)] = PENDING;
+            self.sched
+                .dispatch(seq, [f.instr.dep1, f.instr.dep2], self.now);
             self.rob.push_back(RobEntry {
                 seq,
                 op,
-                dep1: dep(f.instr.dep1),
-                dep2: dep(f.instr.dep2),
-                issued: false,
-                completed_at: PENDING,
                 mispredict: f.mispredict,
             });
-            self.iq.push_back(seq);
             decoded += 1;
             self.stats.decoded += 1;
         }
@@ -525,7 +467,7 @@ impl<'p> Machine<'p> {
             if let Some(head) = self.decode_queue.front() {
                 if head.ready_at > self.now {
                     starved_on = Some((head.line, head.source));
-                    let empty_iq = self.iq.is_empty();
+                    let empty_iq = self.sched.is_empty();
                     self.stats.starvation_cycles += 1;
                     if empty_iq {
                         self.stats.starvation_empty_iq_cycles += 1;
@@ -829,7 +771,7 @@ impl<'p> Machine<'p> {
              rob_head={:?} outstanding_misses={}",
             self.now,
             self.rob.len(),
-            self.iq.len(),
+            self.sched.len(),
             self.decode_queue.len(),
             self.decode_queue.front().map(|f| f.ready_at),
             self.ftq.len(),
@@ -841,7 +783,10 @@ impl<'p> Machine<'p> {
             self.btb_stall_until,
             self.lq_count,
             self.sq_count,
-            self.rob.front().map(|e| (e.seq, e.issued, e.completed_at)),
+            self.rob.front().map(|e| {
+                let completed_at = self.sched.completed_at(e.seq);
+                (e.seq, completed_at != u64::MAX, completed_at)
+            }),
             self.hierarchy.outstanding_misses(),
         )
     }
