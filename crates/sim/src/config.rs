@@ -157,7 +157,9 @@ pub struct SimConfig {
     pub priority_reset_interval: Option<u64>,
     /// Model wrong-path fetch after mispredictions (pollution/prefetch).
     pub wrong_path_fetch: bool,
-    /// Track reuse distances for Figure 2 metrics (small overhead).
+    /// Track reuse distances for Figure 2 metrics. On by default, so the
+    /// tracker runs in every figure's job: `O(log U)` host time per
+    /// demand-fetched line and `O(U)` memory, for `U` distinct lines.
     pub track_reuse: bool,
     /// Master seed for hardware RNG streams (selection `R`, policies).
     pub seed: u64,

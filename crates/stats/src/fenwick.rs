@@ -1,7 +1,8 @@
-//! Binary indexed tree (Fenwick tree) over `u32` counts.
+//! Binary indexed tree (Fenwick tree) over `i64` counts.
 //!
-//! Used by [`crate::reuse::ReuseTracker`] to count, in `O(log n)`, how many
-//! distinct cache lines have been touched since a given logical timestamp.
+//! Used by [`crate::reuse::ReuseTracker`] to count, in `O(log n)` over its
+//! timestamp window, how many distinct cache lines have been touched since a
+//! given logical timestamp.
 
 /// A growable Fenwick tree holding non-negative counts.
 ///
@@ -37,6 +38,37 @@ impl Fenwick {
         Self {
             tree: vec![0; capacity + 1],
         }
+    }
+
+    /// Builds a tree whose slot `i` holds `counts[i]`, in `O(n)`.
+    pub fn from_counts(mut counts: Vec<i64>) -> Self {
+        counts.insert(0, 0);
+        let n = counts.len();
+        for i in 1..n {
+            let parent = i + (i & i.wrapping_neg());
+            if parent < n {
+                counts[parent] += counts[i];
+            }
+        }
+        Self { tree: counts }
+    }
+
+    /// The count held in every slot, in `O(n)` and in place; inverse of
+    /// [`Fenwick::from_counts`].
+    pub fn into_counts(self) -> Vec<i64> {
+        let mut tree = self.tree;
+        let n = tree.len();
+        // Undo each node's child sums, parents before children.
+        for i in (1..n).rev() {
+            let parent = i + (i & i.wrapping_neg());
+            if parent < n {
+                tree[parent] -= tree[i];
+            }
+        }
+        if n > 0 {
+            tree.remove(0);
+        }
+        tree
     }
 
     /// Number of addressable slots.
@@ -86,34 +118,9 @@ impl Fenwick {
     }
 
     fn grow(&mut self, min_slots: usize) {
-        let new_len = (min_slots + 1).next_power_of_two().max(16);
-        let old = std::mem::take(&mut self.tree);
-        self.tree = vec![0; new_len];
-        // Rebuild by re-adding per-index values extracted from the old tree.
-        // Extract point values of old tree first.
-        let old_len = old.len().saturating_sub(1);
-        let mut point = vec![0i64; old_len];
-        // point value at i = prefix(i+1) - prefix(i); compute via temporary view.
-        let prefix = |tree: &Vec<i64>, mut i: usize| -> i64 {
-            let mut s = 0;
-            while i > 0 {
-                s += tree[i];
-                i -= i & i.wrapping_neg();
-            }
-            s
-        };
-        for (i, p) in point.iter_mut().enumerate() {
-            *p = prefix(&old, i + 1) - prefix(&old, i);
-        }
-        for (i, v) in point.into_iter().enumerate() {
-            if v != 0 {
-                let mut j = i + 1;
-                while j < self.tree.len() {
-                    self.tree[j] += v;
-                    j += j & j.wrapping_neg();
-                }
-            }
-        }
+        let mut counts = std::mem::take(self).into_counts();
+        counts.resize((min_slots + 1).next_power_of_two().max(16) - 1, 0);
+        *self = Self::from_counts(counts);
     }
 }
 
@@ -175,6 +182,17 @@ mod tests {
         f.add(64, 5); // triggers grow
         assert_eq!(f.prefix_sum(4), 3);
         assert_eq!(f.total(), 8);
+    }
+
+    #[test]
+    fn from_counts_and_into_counts_round_trip() {
+        let counts: Vec<i64> = (0..37).map(|i| (i * 7 % 5) - 2).collect();
+        let f = Fenwick::from_counts(counts.clone());
+        assert_eq!(f.len(), counts.len());
+        for end in 0..=counts.len() {
+            assert_eq!(f.prefix_sum(end), counts[..end].iter().sum::<i64>());
+        }
+        assert_eq!(f.into_counts(), counts);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! This crate hosts the measurement machinery that the simulator and the
 //! experiment harness share:
 //!
-//! * [`fenwick::Fenwick`] — a binary indexed tree used by the
-//!   reuse-distance tracker.
+//! * [`fenwick::Fenwick`] — a binary indexed tree; the reuse-distance
+//!   tracker keeps one over a timestamp window of `O(U)` slots for `U`
+//!   distinct lines.
 //! * [`reuse::ReuseTracker`] — online *unique-lines* reuse-distance
 //!   measurement exactly as defined in §3 of the paper ("the number of
 //!   unique lines accessed between two accesses to the same line"), used to

@@ -5,7 +5,9 @@
 //! count. Distances are bucketed into Short `[0, 100)`, Mid `[100, 5000)`
 //! and Long `[5000, ∞)` exactly as in the paper.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::fenwick::Fenwick;
 
@@ -108,11 +110,46 @@ impl ReuseCounts {
     }
 }
 
+/// Smallest timestamp window the tracker allocates.
+const MIN_WINDOW: usize = 64;
+
+/// Hashes a `u64` line number with one folded 64×64→128-bit multiply, so
+/// every output bit depends on every input bit. Line numbers are not
+/// attacker-controlled, so SipHash's DoS resistance buys nothing here.
+#[derive(Debug, Default, Clone, Copy)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let p = u128::from(n ^ self.0) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (p as u64) ^ ((p >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Streaming unique-lines reuse-distance tracker.
 ///
-/// `access` costs `O(log n)` in the number of accesses so far (Fenwick tree
-/// over last-access timestamps), making it cheap enough to run inline with
-/// the simulator's commit stage.
+/// `access` costs `O(log U)` in the number of distinct lines `U` seen so far,
+/// and the tracker holds `O(U)` state however long the access stream runs.
+/// Each line's latest access carries a logical timestamp, and a Fenwick tree
+/// over a window of timestamps marks the latest ones, so a line's distance is
+/// the number of marks after its previous timestamp. When the window fills,
+/// the tracker compacts it: the `U` live timestamps are renumbered to `0..U`
+/// in timestamp order and the window is reset to `max(64, 2U)` slots rounded
+/// up to a power of two. Renumbering keeps the order of live timestamps, and
+/// every distance counts live timestamps between two live ones, so distances
+/// are the same as with an unbounded window.
+///
+/// The simulator calls it once per demand-fetched line, from fetch.
 ///
 /// # Example
 ///
@@ -130,8 +167,9 @@ impl ReuseCounts {
 #[derive(Debug, Default)]
 pub struct ReuseTracker {
     /// line -> timestamp of its most recent access.
-    last_access: HashMap<u64, usize>,
-    /// Marks timestamps that are the *latest* access of some line.
+    last_access: HashMap<u64, usize, BuildHasherDefault<LineHasher>>,
+    /// Marks timestamps that are the *latest* access of some line; its
+    /// length is the timestamp window.
     marks: Fenwick,
     /// Next logical timestamp.
     now: usize,
@@ -156,19 +194,25 @@ impl ReuseTracker {
             return None;
         }
         self.prev_line = Some(line);
-        let distance = match self.last_access.get(&line).copied() {
-            Some(t) => {
-                // Unique lines touched since `t` = marked timestamps in (t, now).
-                let d = self.marks.range_sum(t + 1, self.now) as u64;
+        if self.now == self.marks.len() {
+            self.compact();
+        }
+        let unique = self.last_access.len();
+        let distance = match self.last_access.entry(line) {
+            Entry::Occupied(mut e) => {
+                let t = std::mem::replace(e.get_mut(), self.now);
+                // All `unique` marks lie before `now`, so the marks in
+                // (t, now) are the unique lines touched since `t`.
+                let d = (unique as i64 - self.marks.prefix_sum(t + 1)) as u64;
                 self.marks.add(t, -1);
                 Some(d)
             }
-            None => {
+            Entry::Vacant(e) => {
+                e.insert(self.now);
                 self.counts.cold += 1;
                 None
             }
         };
-        self.last_access.insert(line, self.now);
         self.marks.add(self.now, 1);
         self.now += 1;
         if let Some(d) = distance {
@@ -176,6 +220,29 @@ impl ReuseTracker {
             self.last_distance = Some(d);
         }
         distance
+    }
+
+    /// Renumbers the live timestamps to `0..U` in order and resets the
+    /// window to `max(MIN_WINDOW, 2U)` slots rounded up to a power of two,
+    /// leaving at least `U` free slots before the next compaction.
+    fn compact(&mut self) {
+        // rank[t] = live timestamps before t, which is t's new number if live.
+        let mut rank = std::mem::take(&mut self.marks).into_counts();
+        let mut live = 0;
+        for r in &mut rank {
+            live += std::mem::replace(r, live);
+        }
+        for t in self.last_access.values_mut() {
+            *t = rank[*t] as usize;
+        }
+        let unique = self.last_access.len();
+        debug_assert_eq!(live, unique as i64);
+        let mut marks = rank;
+        marks.clear();
+        marks.resize((2 * unique).max(MIN_WINDOW).next_power_of_two(), 0);
+        marks[..unique].fill(1);
+        self.marks = Fenwick::from_counts(marks);
+        self.now = unique;
     }
 
     /// The distance of the most recent reused access.
@@ -199,7 +266,7 @@ impl ReuseTracker {
     /// Returns `None` for never-seen lines.
     pub fn current_distance(&self, line: u64) -> Option<u64> {
         let t = self.last_access.get(&line).copied()?;
-        Some(self.marks.range_sum(t + 1, self.now) as u64)
+        Some((self.last_access.len() as i64 - self.marks.prefix_sum(t + 1)) as u64)
     }
 }
 
@@ -312,6 +379,22 @@ mod tests {
         assert_eq!(c.mid, 200);
         assert_eq!(c.total(), 400);
         assert!((c.fraction(ReuseBucket::Mid) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn state_stays_proportional_to_unique_lines() {
+        let mut t = ReuseTracker::new();
+        let mut state = 0x2545f4914f6cdd1du64;
+        for _ in 0..1_000_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            t.access(state % 1000);
+        }
+        let bound = 4 * t.unique_lines().max(MIN_WINDOW);
+        assert_eq!(t.unique_lines(), 1000);
+        assert!(t.marks.len() <= bound, "window {} > {bound}", t.marks.len());
+        assert!(t.now <= t.marks.len());
     }
 
     #[test]

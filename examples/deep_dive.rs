@@ -5,6 +5,10 @@
 //! ```sh
 //! cargo run --release --example deep_dive [benchmark] [measure_instrs]
 //! ```
+//!
+//! Lines starting with `host` report host cost (seconds per policy, and the
+//! process's peak resident set from `/proc/self/status` at the end); every
+//! other line is simulated output and deterministic.
 
 use emissary::prelude::*;
 
@@ -32,10 +36,23 @@ fn main() {
         "benchmark: {}  (warmup {} + measure {})\n",
         profile.name, cfg.warmup_instrs, measure
     );
+    let mut baseline_cycles = None;
     for pol in ["M:1", "P(8):S&E", "P(8):S&E&R(1/32)"] {
         let spec: PolicySpec = pol.parse().expect("notation");
-        let r = run_sim(&profile, &cfg.clone().with_policy(spec));
+        let run = run_sim_observed(
+            &profile,
+            &cfg.clone().with_policy(spec),
+            &ObsConfig::default(),
+        );
+        let r = run.report;
         println!("=== {pol}");
+        let base = *baseline_cycles.get_or_insert(r.cycles);
+        if base != r.cycles {
+            println!(
+                "  speedup over M:1: {:+.2}%",
+                speedup_pct(base as f64 / r.cycles as f64)
+            );
+        }
         println!(
             "  cycles {:>10}  IPC {:.3}  decode rate {:.3}  issue rate {:.3}",
             r.cycles,
@@ -66,8 +83,22 @@ fn main() {
         );
         let saturated: u64 = r.priority_histogram[8..].iter().sum();
         println!(
-            "  L2 sets with >= 8 high-priority lines: {saturated} of {}\n",
+            "  L2 sets with >= 8 high-priority lines: {saturated} of {}",
             r.priority_histogram.iter().sum::<u64>()
         );
+        println!(
+            "host: {:.1} s (warmup {:.1} s, measure {:.1} s)\n",
+            run.host_seconds, run.warmup_seconds, run.measure_seconds
+        );
     }
+    let peak = std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find_map(|l| Some(l.strip_prefix("VmHWM:")?.trim().to_owned()))
+        });
+    println!(
+        "host peak RSS: {}",
+        peak.as_deref().unwrap_or("unavailable")
+    );
 }
