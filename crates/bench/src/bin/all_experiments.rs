@@ -5,20 +5,16 @@
 //! simulated once through a single globally scheduled pool
 //! (longest-job-first, see [`emissary_bench::campaign`]); the figures
 //! then render by replaying from the campaign memo, bit-identically to
-//! running them one at a time. `EMISSARY_SEQUENTIAL=1` restores the old
-//! figure-at-a-time execution (each with its own checkpoint file) for
-//! before/after measurement — both modes produce byte-identical tables.
+//! running them one at a time.
 //!
-//! The sweep's wall-clock and job counts land in `BENCH_campaign.json`
-//! (label `before` under `EMISSARY_SEQUENTIAL=1`, else `after`), keeping
-//! the campaign-scale perf trajectory visible across PRs. Expect the
-//! sweep to take a while at default run lengths; scale down with
-//! `EMISSARY_MEASURE_INSNS` for a quick pass.
+//! The sweep's wall-clock and job counts overwrite `BENCH_campaign.json`
+//! (this run only). Expect the sweep to take a while at default run
+//! lengths; scale down with `EMISSARY_MEASURE_INSNS` for a quick pass.
 
 use std::time::Instant;
 
 use emissary_bench::campaign::CostModel;
-use emissary_bench::results::{load_campaign_other_labels, write_campaign_file, CampaignEntry};
+use emissary_bench::results::{write_campaign_file, CampaignEntry};
 use emissary_bench::{campaign, chaos, checkpoint, experiments, metrics, scale};
 
 /// Reports progress so far and exits with the conventional SIGINT code.
@@ -39,13 +35,11 @@ fn main() {
     // immediate (still checkpoint-safe) exit with a distinct code.
     chaos::spawn_escalation_watcher("campaign");
     let cfg = emissary_bench::base_config();
-    let sequential = scale::sequential();
     eprintln!(
-        "running all experiments: warmup={} measure={} threads={} mode={}",
+        "running all experiments: warmup={} measure={} threads={}",
         cfg.warmup_instrs,
         cfg.measure_instrs,
         emissary_bench::threads(),
-        if sequential { "sequential" } else { "campaign" }
     );
     let start = Instant::now();
     if metrics::start_periodic_dump() {
@@ -58,40 +52,35 @@ fn main() {
     let requested = plan.len();
     let unique = campaign::dedup_jobs(plan.clone()).len();
 
-    // Campaign mode: simulate the deduplicated union up front through one
-    // globally scheduled pool; the per-figure runs below then replay from
-    // the memo instead of simulating.
-    let prefetch = if sequential {
-        None
-    } else {
-        checkpoint::begin("campaign");
-        let model = CostModel::new();
+    // Simulate the deduplicated union up front through one globally
+    // scheduled pool; the per-figure runs below then replay from the memo
+    // instead of simulating.
+    checkpoint::begin("campaign");
+    let prefetch = {
         let global = checkpoint::global_handle();
-        let summary = campaign::prefetch(
+        campaign::prefetch(
             plan,
             &emissary_bench::PoolOptions::from_env(),
             global.as_ref(),
-            &model,
-        );
-        drop(global);
-        eprintln!(
-            "campaign: prefetched {} unique of {} requested jobs ({} simulated, {} replayed, {} failed, {} interrupted) in {:.1}s",
-            summary.unique,
-            summary.requested,
-            summary.simulated,
-            summary.replayed,
-            summary.failed,
-            summary.interrupted,
-            summary.wall_seconds
-        );
-        if summary.interrupted > 0 || chaos::shutdown_requested() {
-            // Don't render figures from a partial memo: the interrupted
-            // jobs would re-simulate during render and the tables would
-            // mix this run with the next.
-            exit_interrupted(checkpoint::counters());
-        }
-        Some(summary)
+            &CostModel::new(),
+        )
     };
+    eprintln!(
+        "campaign: prefetched {} unique of {} requested jobs ({} simulated, {} replayed, {} failed, {} interrupted) in {:.1}s",
+        prefetch.unique,
+        prefetch.requested,
+        prefetch.simulated,
+        prefetch.replayed,
+        prefetch.failed,
+        prefetch.interrupted,
+        prefetch.wall_seconds
+    );
+    if prefetch.interrupted > 0 || chaos::shutdown_requested() {
+        // Don't render figures from a partial memo: the interrupted jobs
+        // would re-simulate during render and the tables would mix this
+        // run with the next.
+        exit_interrupted(checkpoint::counters());
+    }
 
     type Runner<'a> = Box<dyn Fn() -> experiments::Experiment + 'a>;
     let runs: Vec<(&str, Runner)> = vec![
@@ -118,25 +107,15 @@ fn main() {
     }
     let after_render = checkpoint::counters();
 
-    // In campaign mode, every job the figures need was prefetched, so the
-    // render phase must simulate nothing: fresh simulations here mean the
-    // planner and the figures disagree on some job (drift), which would
-    // silently erode the dedup win.
-    let drift = if prefetch.is_some() {
-        after_render.simulated - before_render.simulated
-    } else {
-        0
-    };
+    // Every job the figures need was prefetched, so the render phase must
+    // simulate nothing: fresh simulations here mean the planner and the
+    // figures disagree on some job (drift), which would silently erode
+    // the dedup win.
+    let drift = after_render.simulated - before_render.simulated;
     let wall = start.elapsed().as_secs_f64();
-    let totals = checkpoint::counters();
-    let (simulated, replayed, failed) = match &prefetch {
-        Some(p) => (
-            p.simulated + drift,
-            after_render.replayed - before_render.replayed + p.replayed,
-            totals.failed,
-        ),
-        None => (totals.simulated, totals.replayed, totals.failed),
-    };
+    let simulated = prefetch.simulated + drift;
+    let replayed = after_render.replayed - before_render.replayed + prefetch.replayed;
+    let failed = checkpoint::counters().failed;
     let (ckpt_recovered, ckpt_quarantined) = {
         let global = checkpoint::global_handle();
         global
@@ -161,25 +140,19 @@ fn main() {
         }
     }
 
-    let label = if sequential { "before" } else { "after" };
     let path = "BENCH_campaign.json";
-    let mut entries = load_campaign_other_labels(path, label);
-    entries.push(CampaignEntry {
-        label: label.to_string(),
+    let entry = CampaignEntry {
+        warmup_instrs: cfg.warmup_instrs,
+        measure_instrs: cfg.measure_instrs,
+        threads: emissary_bench::threads() as u64,
         requested: requested as u64,
         unique: unique as u64,
         simulated,
         replayed,
         failed,
         wall_seconds: wall,
-    });
-    match write_campaign_file(
-        path,
-        cfg.warmup_instrs,
-        cfg.measure_instrs,
-        emissary_bench::threads(),
-        &entries,
-    ) {
+    };
+    match write_campaign_file(path, &entry) {
         Ok(()) => eprintln!("wrote {path}"),
         Err(e) => eprintln!("error: cannot write {path}: {e}"),
     }

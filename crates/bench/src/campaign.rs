@@ -29,35 +29,28 @@
 //! A stderr progress line (`campaign: 123/1148 jobs, 40 replayed, eta
 //! 93s`) tracks long sweeps; silence it with `EMISSARY_PROGRESS=0`.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
+use crate::chaos::lock_unpoisoned;
 use crate::checkpoint::{self, Campaign};
 use crate::pool::{run_parallel_outcomes_hooked, JobOutcome, PoolOptions};
-use crate::shard::SlotRegistry;
 use crate::{scale, Job};
 
 /// Host-throughput estimates feeding the scheduler: observed MIPS per
 /// benchmark (updated as jobs complete), with a footprint-scaled fallback
 /// for benchmarks not yet measured.
-///
-/// Observations accumulate in lock-free [`SlotRegistry`] slots as
-/// fixed-point milli-MIPS (cell A = scaled sum, cell B = count), so
-/// workers recording a finished run never contend on a mutex.
 #[derive(Debug, Default)]
 pub struct CostModel {
-    /// benchmark name → (sum of observed milli-MIPS, observation count).
-    observed: SlotRegistry,
+    /// benchmark name → (sum of observed MIPS, observation count).
+    observed: Mutex<HashMap<String, (f64, u64)>>,
 }
 
 /// Baseline host MIPS assumed for a small-footprint benchmark before any
 /// observation (the `BENCH_throughput.json` xapian figure, rounded down).
 const FALLBACK_MIPS: f64 = 2.5;
-
-/// Fixed-point scale for observed MIPS (milli-MIPS). At ~1e3 MIPS max,
-/// the scaled sum overflows `u64` after ~1e13 observations — unreachable.
-const MIPS_SCALE: f64 = 1_000.0;
 
 impl CostModel {
     /// An empty model (footprint fallback for every benchmark).
@@ -72,17 +65,19 @@ impl CostModel {
         if mips <= 0.0 {
             return;
         }
-        self.observed
-            .add_pair(benchmark, (mips * MIPS_SCALE).round() as u64, 1);
+        let mut observed = lock_unpoisoned(&self.observed);
+        let (sum, n) = observed.entry(benchmark.to_string()).or_default();
+        *sum += mips;
+        *n += 1;
     }
 
     /// The model's current MIPS estimate for a benchmark: mean of the
     /// observations, else the footprint fallback (bigger instruction
     /// footprints miss more and simulate slower).
     pub fn mips(&self, benchmark: &str, code_kb: u32) -> f64 {
-        match self.observed.get_pair(benchmark) {
-            Some((sum_milli, n)) if n > 0 => sum_milli as f64 / MIPS_SCALE / n as f64,
-            _ => FALLBACK_MIPS / (1.0 + f64::from(code_kb) / 2048.0),
+        match lock_unpoisoned(&self.observed).get(benchmark) {
+            Some(&(sum, n)) => sum / n as f64,
+            None => FALLBACK_MIPS / (1.0 + f64::from(code_kb) / 2048.0),
         }
     }
 
@@ -143,9 +138,8 @@ pub struct PrefetchSummary {
     pub wall_seconds: f64,
 }
 
-/// Shared state behind the stderr progress line. Entirely atomic — the
-/// per-job tick never takes a lock, so progress accounting cannot become
-/// a worker convoy point.
+/// Shared state behind the stderr progress line. The counters and the
+/// print throttle are atomic; a tick takes only the cost model's lock.
 struct Progress<'m> {
     total: usize,
     done: AtomicUsize,

@@ -33,6 +33,7 @@
 //! byte-identical to an unchaosed run — the decision layer itself never
 //! touches simulation state.
 
+use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
@@ -40,7 +41,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::checkpoint::fnv1a64;
-use crate::shard::SlotRegistry;
 use crate::FaultInjection;
 
 /// Environment variable: chaos seed. Setting it (to any u64) enables
@@ -83,14 +83,11 @@ pub struct FaultPlan {
     seed: u64,
     /// Probability scaled to parts-per-million.
     rate_ppm: u64,
-    /// Per-site call counters. A lock-free slot registry rather than a
-    /// `Mutex<HashMap>`: with chaos enabled this sits on the fault-site
-    /// path of *every* checkpoint/journal/trace I/O call, so workers
-    /// must not serialize on it. Each site's counter stays gap-free
-    /// (`fetch_add`), so the decision sequence per site is still a pure
-    /// function of the seed — only which caller observes which decision
-    /// depends on scheduling, exactly as before.
-    counters: SlotRegistry,
+    /// Per-site call counters. Each site's counter is gap-free (read and
+    /// bumped under one lock), so the decision sequence per site is a
+    /// pure function of the seed; only which caller observes which
+    /// decision depends on scheduling.
+    counters: Mutex<HashMap<String, u64>>,
     injected: AtomicU64,
 }
 
@@ -110,7 +107,7 @@ impl FaultPlan {
         Self {
             seed,
             rate_ppm,
-            counters: SlotRegistry::new(),
+            counters: Mutex::new(HashMap::new()),
             injected: AtomicU64::new(0),
         }
     }
@@ -158,7 +155,12 @@ impl FaultPlan {
     /// The decision sequence at each site is deterministic; which caller
     /// observes which decision depends on thread interleaving.
     pub fn fires(&self, site: &str) -> bool {
-        let key = self.counters.fetch_add(site, 1);
+        let key = {
+            let mut counters = lock_unpoisoned(&self.counters);
+            let n = counters.entry(site.to_string()).or_insert(0);
+            *n += 1;
+            *n - 1
+        };
         self.fires_keyed(site, key)
     }
 
@@ -541,6 +543,31 @@ mod tests {
             .filter(|&k| p.would_fire("ckpt.append", k))
             .count();
         assert_eq!(hits, expected);
+        assert_eq!(p.injected(), expected as u64);
+    }
+
+    #[test]
+    fn concurrent_first_use_of_many_sites_keeps_each_gap_free() {
+        // 8 threads × 64 calls spread over 4 sites that none has used
+        // before, so first uses race: every site must get one counter
+        // handing out keys 0..128 exactly once.
+        let p = FaultPlan::new(21, 0.5);
+        let site = |i: usize| format!("site.{}", i % 4);
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                let (p, start) = (&p, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..64 {
+                        p.fires(&site(t + i));
+                    }
+                });
+            }
+        });
+        let expected: usize = (0..4)
+            .map(|i| (0..128u64).filter(|&k| p.would_fire(&site(i), k)).count())
+            .sum();
         assert_eq!(p.injected(), expected as u64);
     }
 

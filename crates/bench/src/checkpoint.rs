@@ -19,10 +19,9 @@
 //!
 //! The process-global campaign spans experiments: [`begin`] opens the
 //! unified `results/campaign.ckpt.jsonl` once and later calls merely
-//! relabel the experiment metadata (under `EMISSARY_SEQUENTIAL=1` it
-//! reverts to the old one-file-per-figure behaviour, for before/after
-//! measurement). `EMISSARY_RESUME=1` loads completed jobs at open, so a
-//! second campaign over a warm checkpoint simulates nothing.
+//! relabel the experiment metadata. `EMISSARY_RESUME=1` loads completed
+//! jobs at open, so a second campaign over a warm checkpoint simulates
+//! nothing.
 //!
 //! The checkpoint file is append-only JSONL. Failed jobs are recorded too
 //! (with their failure kind and attempt number), but only
@@ -128,10 +127,9 @@ pub(crate) fn note_failed() {
 /// the checkpoint file on resume, grown by every fresh completion) plus
 /// a **single-writer drain thread** that owns the `BufWriter` and the
 /// campaign's [`CkptIo`]. Workers never touch the writer: [`record`]
-/// inserts into a lock-striped memo (16 stripes keyed by the
-/// fingerprint hash, so concurrent completions of different jobs rarely
-/// share a stripe) and sends a pre-rendered record down an unbounded
-/// channel; the drain thread appends and flushes in arrival order.
+/// inserts into the memo (one mutex-guarded map) and sends a
+/// pre-rendered record down an unbounded channel; the drain thread
+/// appends and flushes in arrival order.
 /// [`sync`] is the durability barrier: it round-trips a flush token
 /// through the channel, so when it returns every previously sent record
 /// is on disk — the pool calls it before returning, and the serve layer
@@ -143,7 +141,7 @@ pub(crate) fn note_failed() {
 pub struct Campaign {
     path: PathBuf,
     quarantine_path: PathBuf,
-    memo: [Mutex<HashMap<String, SimRun>>; MEMO_STRIPES],
+    memo: Mutex<HashMap<String, SimRun>>,
     loaded: usize,
     quarantined: u64,
     /// False once the campaign is memo-only (writer failed at open, or
@@ -155,11 +153,6 @@ pub struct Campaign {
     tx: Option<mpsc::Sender<DrainMsg>>,
     drain: Option<std::thread::JoinHandle<()>>,
 }
-
-/// Memo stripe count. Power of two; 16 stripes keep completions of
-/// different fingerprints off each other's locks without bloating an
-/// idle campaign.
-const MEMO_STRIPES: usize = 16;
 
 /// What workers send to the drain thread. Records carry their JSON
 /// payload pre-rendered (report + samples serialization is the
@@ -348,11 +341,6 @@ impl Campaign {
             }
         };
         let loaded = loaded_memo.len();
-        let memo: [Mutex<HashMap<String, SimRun>>; MEMO_STRIPES] =
-            std::array::from_fn(|_| Mutex::new(HashMap::new()));
-        for (fp, run) in loaded_memo {
-            lock_unpoisoned(&memo[stripe_of(&fp)]).insert(fp, run);
-        }
         // `persistent` reflects the writer synchronously at open time —
         // memo-only degradation must be observable before any record is
         // drained.
@@ -374,7 +362,7 @@ impl Campaign {
         Campaign {
             path,
             quarantine_path,
-            memo,
+            memo: Mutex::new(loaded_memo),
             loaded,
             quarantined,
             persistent,
@@ -413,7 +401,7 @@ impl Campaign {
 
     /// Number of completed jobs currently replayable (loaded + fresh).
     pub fn memoized(&self) -> usize {
-        self.memo.iter().map(|s| lock_unpoisoned(s).len()).sum()
+        lock_unpoisoned(&self.memo).len()
     }
 
     /// Number of records the drain thread has processed so far.
@@ -433,7 +421,7 @@ impl Campaign {
 
     /// Looks up a completed run for this fingerprint.
     pub fn cached(&self, fp: &str) -> Option<SimRun> {
-        lock_unpoisoned(&self.memo[stripe_of(fp)]).get(fp).cloned()
+        lock_unpoisoned(&self.memo).get(fp).cloned()
     }
 
     /// Records one outcome: completed runs enter the in-process memo
@@ -449,7 +437,7 @@ impl Campaign {
     /// writer is dropped and the campaign continues memo-only.
     pub fn record(&self, fp: &str, outcome: &JobOutcome) {
         if let JobOutcome::Completed { run, .. } = outcome {
-            lock_unpoisoned(&self.memo[stripe_of(fp)]).insert(fp.to_string(), (**run).clone());
+            lock_unpoisoned(&self.memo).insert(fp.to_string(), (**run).clone());
         }
         if let Some(tx) = &self.tx {
             let _ = tx.send(DrainMsg::Record(CkptRecord::from_outcome(fp, outcome)));
@@ -480,11 +468,6 @@ impl Drop for Campaign {
             let _ = h.join();
         }
     }
-}
-
-/// Memo stripe index for a fingerprint.
-fn stripe_of(fp: &str) -> usize {
-    (fnv1a64(fp.as_bytes()) as usize) % MEMO_STRIPES
 }
 
 /// Decodes one parsed checkpoint record. `Ok(Some(..))` is a completed
@@ -622,31 +605,26 @@ static CAMPAIGN: Mutex<Option<Campaign>> = Mutex::new(None);
 
 /// Opens (or relabels) the global campaign for experiment `name`.
 ///
-/// By default all experiments in a process share one campaign file,
+/// All experiments in a process share one campaign file,
 /// `results/campaign.ckpt.jsonl`, keyed purely by config fingerprint: the
 /// first call opens it (resuming when `EMISSARY_RESUME=1`) and later
 /// calls only update the experiment metadata, so resume state and the
-/// in-process memo span figures. With `EMISSARY_SEQUENTIAL=1` each call
-/// opens the old per-figure `results/<name>.ckpt.jsonl` instead,
-/// reproducing the pre-dedup behaviour (figure-siloed state).
+/// in-process memo span figures.
 pub fn begin(name: &str) {
     let mut slot = global();
-    if !crate::scale::sequential() {
-        if let Some(c) = slot.as_ref() {
-            c.set_experiment(name);
-            return;
-        }
+    if let Some(c) = slot.as_ref() {
+        c.set_experiment(name);
+        return;
     }
-    let file = if crate::scale::sequential() {
-        name
-    } else {
-        UNIFIED_CAMPAIGN
-    };
-    let campaign = Campaign::begin_with(file, Path::new("results"), crate::scale::resume());
+    let campaign = Campaign::begin_with(
+        UNIFIED_CAMPAIGN,
+        Path::new("results"),
+        crate::scale::resume(),
+    );
     campaign.set_experiment(name);
     if campaign.resumable() > 0 || campaign.quarantined() > 0 {
         eprintln!(
-            "checkpoint: resuming {file}: {} completed job(s) will be replayed, \
+            "checkpoint: resuming {UNIFIED_CAMPAIGN}: {} completed job(s) will be replayed, \
              {} unusable line(s) quarantined",
             campaign.resumable(),
             campaign.quarantined()
@@ -669,11 +647,9 @@ pub fn end() -> Option<Campaign> {
     global().take()
 }
 
-/// Locks the global campaign for the duration of a pool run. A panic
-/// while the lock is held (the legacy pool APIs panic on job failure)
-/// cannot corrupt the campaign, so poisoning is ignored.
+/// Locks the global campaign for the duration of a pool run.
 pub(crate) fn global() -> std::sync::MutexGuard<'static, Option<Campaign>> {
-    CAMPAIGN.lock().unwrap_or_else(|p| p.into_inner())
+    lock_unpoisoned(&CAMPAIGN)
 }
 
 /// Locks and returns the process-global campaign for direct use — e.g.

@@ -44,15 +44,8 @@
 //!
 //! Campaign-scale execution (see DESIGN.md "Campaign-scale execution"):
 //!
-//! * `EMISSARY_SEQUENTIAL=1` — figure-at-a-time execution with
-//!   per-figure checkpoint files instead of the deduped, globally
-//!   scheduled campaign over `results/campaign.ckpt.jsonl`;
-//! * `EMISSARY_PROGRAM_STORE=0` — rebuild each benchmark's program per
-//!   job instead of sharing one `Arc<Program>` per profile per process;
 //! * `EMISSARY_PROGRESS=0` — silence the campaign's stderr progress
-//!   line;
-//! * `EMISSARY_PIN_CORES=1` — pin each pool worker to a core
-//!   (round-robin over available parallelism; opt-in).
+//!   line.
 //!
 //! The Criterion benches (`benches/figures.rs`, `benches/components.rs`)
 //! exercise scaled-down versions of every experiment plus component
@@ -66,11 +59,8 @@ pub mod metrics;
 pub mod pool;
 pub mod results;
 pub mod scale;
-pub mod shard;
 
-pub use pool::{
-    run_job, run_parallel, run_parallel_observed, run_parallel_outcomes, JobOutcome, PoolOptions,
-};
+pub use pool::{run_job, run_parallel_outcomes, JobOutcome, PoolOptions};
 pub use results::ThroughputEntry;
 pub use scale::{measure_instrs, sample_interval, threads, trace_out, warmup_instrs};
 

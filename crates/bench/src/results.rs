@@ -248,13 +248,14 @@ pub fn write_throughput_file(
 
 /// One end-to-end campaign measurement — a full `all_experiments` sweep
 /// timed on the host clock — as recorded in `BENCH_campaign.json`.
-/// Entries are labelled (`before` = sequential per-figure execution,
-/// `after` = deduped globally scheduled execution) so one file carries
-/// both sides of the perf comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignEntry {
-    /// Measurement label (`before`/`after`).
-    pub label: String,
+    /// Warmup per job, in committed instructions.
+    pub warmup_instrs: u64,
+    /// Measurement window per job, in committed instructions.
+    pub measure_instrs: u64,
+    /// Worker threads.
+    pub threads: u64,
     /// Jobs requested across all experiments, duplicates included.
     pub requested: u64,
     /// Unique jobs after config-fingerprint dedup.
@@ -269,84 +270,20 @@ pub struct CampaignEntry {
     pub wall_seconds: f64,
 }
 
-/// Writes `BENCH_campaign.json`: run lengths, worker count, every entry,
-/// and a `speedups` array pairing each `after` entry's wall-clock against
-/// the `before` entry's.
-pub fn write_campaign_file(
-    path: &str,
-    warmup_instrs: u64,
-    measure_instrs: u64,
-    threads: usize,
-    entries: &[CampaignEntry],
-) -> io::Result<()> {
-    let entry_jsons: Vec<String> = entries
-        .iter()
-        .map(|e| {
-            let mut obj = JsonObject::new();
-            obj.field_str("label", &e.label)
-                .field_u64("requested", e.requested)
-                .field_u64("unique", e.unique)
-                .field_u64("simulated", e.simulated)
-                .field_u64("replayed", e.replayed)
-                .field_u64("failed", e.failed)
-                .field_f64("wall_seconds", e.wall_seconds);
-            obj.finish()
-        })
-        .collect();
-    let mut speedups = Vec::new();
-    for after in entries.iter().filter(|e| e.label == "after") {
-        let before = entries
-            .iter()
-            .find(|e| e.label == "before" && e.wall_seconds > 0.0);
-        if let Some(before) = before {
-            let mut obj = JsonObject::new();
-            obj.field_f64("before_wall_seconds", before.wall_seconds)
-                .field_f64("after_wall_seconds", after.wall_seconds)
-                .field_f64(
-                    "speedup",
-                    before.wall_seconds / after.wall_seconds.max(1e-9),
-                );
-            speedups.push(obj.finish());
-        }
-    }
-    let mut root = JsonObject::new();
-    root.field_u64("warmup_instrs", warmup_instrs)
-        .field_u64("measure_instrs", measure_instrs)
-        .field_u64("threads", threads as u64)
-        .field_raw("entries", &format!("[{}]", entry_jsons.join(",")))
-        .field_raw("speedups", &format!("[{}]", speedups.join(",")));
-    fs::write(path, root.finish() + "\n")
-}
-
-/// Loads entries recorded under *other* labels from an existing
-/// `BENCH_campaign.json`, so re-running one side of the comparison never
-/// discards the other.
-pub fn load_campaign_other_labels(path: &str, label: &str) -> Vec<CampaignEntry> {
-    let Ok(text) = fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let Ok(v) = emissary_obs::JsonValue::parse(&text) else {
-        eprintln!("warning: {path} is unparseable; starting fresh");
-        return Vec::new();
-    };
-    let Some(entries) = v.get("entries").and_then(|e| e.as_array()) else {
-        return Vec::new();
-    };
-    entries
-        .iter()
-        .filter_map(|e| {
-            let entry = CampaignEntry {
-                label: e.get("label")?.as_str()?.to_string(),
-                requested: e.get("requested")?.as_u64()?,
-                unique: e.get("unique")?.as_u64()?,
-                simulated: e.get("simulated")?.as_u64()?,
-                replayed: e.get("replayed")?.as_u64()?,
-                failed: e.get("failed")?.as_u64()?,
-                wall_seconds: e.get("wall_seconds")?.as_f64()?,
-            };
-            (entry.label != label).then_some(entry)
-        })
-        .collect()
+/// Writes `BENCH_campaign.json`: one JSON object holding `entry`,
+/// replacing whatever the file held before.
+pub fn write_campaign_file(path: &str, entry: &CampaignEntry) -> io::Result<()> {
+    let mut obj = JsonObject::new();
+    obj.field_u64("warmup_instrs", entry.warmup_instrs)
+        .field_u64("measure_instrs", entry.measure_instrs)
+        .field_u64("threads", entry.threads)
+        .field_u64("requested", entry.requested)
+        .field_u64("unique", entry.unique)
+        .field_u64("simulated", entry.simulated)
+        .field_u64("replayed", entry.replayed)
+        .field_u64("failed", entry.failed)
+        .field_f64("wall_seconds", entry.wall_seconds);
+    fs::write(path, obj.finish() + "\n")
 }
 
 /// Appends one run to this worker's buffer, or the process-global run
@@ -740,40 +677,38 @@ mod tests {
 
     #[test]
     fn campaign_file_roundtrips_and_preserves_other_labels() {
+        // The file holds one run, so there are no other labels to
+        // preserve: the round trip is the whole contract.
         let path =
             std::env::temp_dir().join(format!("emissary_campaign_{}.json", std::process::id()));
         let path = path.to_str().unwrap().to_string();
-        let before = CampaignEntry {
-            label: "before".into(),
-            requested: 1148,
-            unique: 1148,
-            simulated: 1148,
-            replayed: 0,
-            failed: 0,
-            wall_seconds: 20.0,
-        };
-        write_campaign_file(&path, 1_000, 4_000, 8, std::slice::from_ref(&before)).unwrap();
-        // An `after` run loads the other side and writes both plus the
-        // speedup pairing.
-        let mut entries = load_campaign_other_labels(&path, "after");
-        assert_eq!(entries, vec![before.clone()]);
-        entries.push(CampaignEntry {
-            label: "after".into(),
+        let entry = CampaignEntry {
+            warmup_instrs: 1_000,
+            measure_instrs: 4_000,
+            threads: 8,
             requested: 1148,
             unique: 697,
             simulated: 697,
             replayed: 1148,
             failed: 0,
-            wall_seconds: 8.0,
-        });
-        write_campaign_file(&path, 1_000, 4_000, 8, &entries).unwrap();
+            wall_seconds: 8.5,
+        };
+        write_campaign_file(&path, &entry).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"speedup\":2.5"));
-        assert!(text.contains("\"threads\":8"));
-        // Re-running the `before` side keeps the `after` entry.
-        let kept = load_campaign_other_labels(&path, "before");
-        assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].label, "after");
+        let v = emissary_obs::JsonValue::parse(&text).unwrap();
+        let u = |k: &str| v.get(k).and_then(|x| x.as_u64()).unwrap();
+        let back = CampaignEntry {
+            warmup_instrs: u("warmup_instrs"),
+            measure_instrs: u("measure_instrs"),
+            threads: u("threads"),
+            requested: u("requested"),
+            unique: u("unique"),
+            simulated: u("simulated"),
+            replayed: u("replayed"),
+            failed: u("failed"),
+            wall_seconds: v.get("wall_seconds").and_then(|x| x.as_f64()).unwrap(),
+        };
+        assert_eq!(back, entry);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -93,17 +93,6 @@ pub fn resume() -> bool {
         .unwrap_or(false)
 }
 
-/// Whether campaign-scale dedup and scheduling are disabled
-/// (`EMISSARY_SEQUENTIAL=1`): experiments keep per-figure checkpoint
-/// files and `all_experiments` runs figure by figure with no job
-/// prefetch — the pre-dedup execution model, kept for before/after
-/// measurement (`BENCH_campaign.json`) and debugging.
-pub fn sequential() -> bool {
-    env::var("EMISSARY_SEQUENTIAL")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
 /// Whether the campaign scheduler prints its stderr progress line
 /// (`EMISSARY_PROGRESS=0` silences it; default on).
 pub fn progress() -> bool {
@@ -167,16 +156,6 @@ pub fn metrics_interval_ms() -> Option<u64> {
         .filter(|&v| v > 0)
 }
 
-/// Whether pool workers pin themselves to cores (`EMISSARY_PIN_CORES=1`,
-/// default off). Pinning trades scheduler freedom for cache locality;
-/// it only helps when the host is otherwise idle and the worker count
-/// matches the core count, so it stays opt-in.
-pub fn pin_cores() -> bool {
-    env::var("EMISSARY_PIN_CORES")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
 /// Worker threads (`EMISSARY_THREADS`, default: available parallelism).
 pub fn threads() -> usize {
     env::var("EMISSARY_THREADS")
@@ -205,7 +184,7 @@ mod tests {
 
     #[test]
     fn env_parser_handles_underscores_and_garbage() {
-        assert_eq!(env_u64("EMISSARY_TEST_UNSET_VAR_XYZ", 42), 42);
+        assert_eq!(env_u64("UNSET_TEST_VAR_XYZ", 42), 42);
     }
 
     #[test]
@@ -253,22 +232,10 @@ mod tests {
     #[test]
     fn campaign_knobs_default_to_scheduled_with_progress() {
         assert_eq!(
-            sequential(),
-            env::var("EMISSARY_SEQUENTIAL")
-                .map(|v| v == "1")
-                .unwrap_or(false)
-        );
-        assert_eq!(
             progress(),
             env::var("EMISSARY_PROGRESS")
                 .map(|v| v != "0")
                 .unwrap_or(true)
-        );
-        assert_eq!(
-            pin_cores(),
-            env::var("EMISSARY_PIN_CORES")
-                .map(|v| v == "1")
-                .unwrap_or(false)
         );
     }
 }

@@ -1,5 +1,5 @@
-//! Contention stress: 8 workers hammering the sharded program store and
-//! the single-writer checkpoint drain while chaos tears appends at the
+//! Contention stress: 8 workers hammering the program store and the
+//! single-writer checkpoint drain while chaos tears appends at the
 //! journal site — no `SimRun` record may be lost or duplicated, and the
 //! steady-state job path must acquire **zero** process-global log locks
 //! (the `emissary_worker_global_lock_acquisitions_total` tripwire).
@@ -16,7 +16,7 @@ use emissary_bench::{metrics, Job};
 use emissary_core::spec::PolicySpec;
 use emissary_obs::JsonValue;
 use emissary_sim::SimConfig;
-use emissary_workloads::{shared_program, store, Profile};
+use emissary_workloads::{shared_program, Profile};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("emissary_contend_{}_{tag}", std::process::id()));
@@ -27,7 +27,7 @@ fn tmpdir(tag: &str) -> PathBuf {
 
 /// The full 26-job campaign matrix (13 profiles × 2 policies) at tiny
 /// windows — enough distinct fingerprints that 8 workers genuinely
-/// overlap in the store, the memo stripes, and the drain channel.
+/// overlap in the store, the campaign memo, and the drain channel.
 fn jobs() -> Vec<Job> {
     let cfg = SimConfig {
         warmup_instrs: 500,
@@ -156,9 +156,6 @@ fn hammered_drain_loses_no_records_and_workers_take_no_global_locks() {
 
 #[test]
 fn sharded_store_coalesces_under_an_8_thread_hammer() {
-    if !store::enabled() {
-        return; // EMISSARY_PROGRAM_STORE=0: nothing to coalesce
-    }
     let profiles: Vec<Profile> = Profile::all().into_iter().take(4).collect();
     let canon: Vec<_> = profiles.iter().map(shared_program).collect();
     std::thread::scope(|s| {

@@ -255,7 +255,6 @@ impl Server {
                 thread::Builder::new()
                     .name(format!("serve-worker-{w}"))
                     .spawn(move || {
-                        emissary_bench::pool::pin_worker(w);
                         // Worker-local result buffers: failures and
                         // trace/ckpt errors accumulate here and drain to
                         // the process logs when the worker exits.
