@@ -540,10 +540,17 @@ impl Hierarchy {
         self.l2.reset_priorities();
     }
 
-    /// Number of misses currently outstanding (instruction + data in-flight
-    /// tables) — the MSHR population reported in watchdog state dumps.
-    pub fn outstanding_misses(&self) -> usize {
-        self.inflight_instr.len() + self.inflight_data.len()
+    /// Number of misses still outstanding at cycle `now` (instruction +
+    /// data fills not yet complete) — the MSHR population reported in
+    /// watchdog state dumps. The in-flight tables drop an entry only when
+    /// its line is accessed again, so most entries are fills that completed
+    /// long ago; those are not counted.
+    pub fn outstanding_misses(&self, now: u64) -> usize {
+        self.inflight_instr
+            .values()
+            .chain(self.inflight_data.values())
+            .filter(|&&(ready, _)| ready > now)
+            .count()
     }
 
     /// Read-only structural audit of the whole hierarchy: every cache's
@@ -624,6 +631,41 @@ mod tests {
         let cfg = tiny_cfg();
         let pol = PolicyKind::TreePlru.build(cfg.l2.sets(), cfg.l2.ways, 9);
         Hierarchy::with_l2_policy(cfg, pol)
+    }
+
+    /// After a run whose footprint thrashes every level, the in-flight
+    /// tables still hold the completed fills of every line touched once;
+    /// only fills whose data has not arrived count as outstanding.
+    #[test]
+    fn outstanding_misses_count_only_unfinished_fills() {
+        let mut cfg = tiny_cfg();
+        cfg.l2_nlp = true;
+        let pol = PolicyKind::TreePlru.build(cfg.l2.sets(), cfg.l2.ways, 9);
+        let mut h = Hierarchy::with_l2_policy(cfg, pol);
+        let lines = 0..2000u64;
+        let mut now = 0;
+        for round in 0..2 {
+            for line in lines.clone() {
+                h.access_instr(line, now, false);
+                h.access_data(0x10_0000 + (line * 7 + round) % 2000, now, false, false);
+                now += 3;
+            }
+        }
+        // Brute force: look every line the run could have put in flight up
+        // by key (demands and their L2 next-line prefetches).
+        let live = |table: &LineMap<(u64, ServedBy)>, base: u64| {
+            (base..base + 2002)
+                .filter(|&line| table.get(line).is_some_and(|&(ready, _)| ready > now))
+                .count()
+        };
+        let brute = live(&h.inflight_instr, 0) + live(&h.inflight_data, 0x10_0000);
+        let table_len = h.inflight_instr.len() + h.inflight_data.len();
+        assert_eq!(h.outstanding_misses(now), brute);
+        assert!(brute > 0, "the last misses are still in flight");
+        assert!(
+            brute * 10 < table_len,
+            "{brute} live of {table_len} table entries"
+        );
     }
 
     #[test]

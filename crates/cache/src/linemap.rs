@@ -87,6 +87,11 @@ impl<V> LineMap<V> {
         }
     }
 
+    /// Every value, in unspecified order.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.slots.iter().flatten().map(|(_, v)| v)
+    }
+
     /// Returns a reference to the value for `key`.
     #[inline]
     pub fn get(&self, key: u64) -> Option<&V> {

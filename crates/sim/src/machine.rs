@@ -787,7 +787,7 @@ impl<'p> Machine<'p> {
                 let completed_at = self.sched.completed_at(e.seq);
                 (e.seq, completed_at != u64::MAX, completed_at)
             }),
-            self.hierarchy.outstanding_misses(),
+            self.hierarchy.outstanding_misses(self.now),
         )
     }
 

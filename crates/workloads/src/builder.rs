@@ -15,7 +15,8 @@
 
 use crate::behavior::{BranchBehavior, DataStream};
 use crate::program::{
-    BasicBlock, BlockId, InstrKind, InstrTemplate, Program, Terminator, CODE_BASE, INSTR_BYTES,
+    BasicBlock, IndirectTable, InstrKind, InstrTemplate, Program, Terminator, CODE_BASE,
+    INSTR_BYTES,
 };
 use crate::rng::Rng;
 
@@ -106,6 +107,18 @@ impl ProgramShape {
     }
 }
 
+/// Most instructions a generated block holds.
+const MAX_BLOCK_INSTRS: usize = 16;
+
+/// A loop backedge behaviour with the next free walker counter slot.
+fn loop_branch(trip: u32, loops: &mut u32) -> BranchBehavior {
+    *loops += 1;
+    BranchBehavior::Loop {
+        trip,
+        slot: *loops - 1,
+    }
+}
+
 /// Builds a [`Program`] from the shape. Deterministic in `shape.seed`.
 ///
 /// # Panics
@@ -128,6 +141,7 @@ pub fn build_program(shape: &ProgramShape) -> Program {
             bytes: u64::from(shape.stream_kb.max(1)) * 1024,
         },
     ];
+    assert!(streams.len() <= 256, "stream indices are u8");
 
     // --- Block budget ---------------------------------------------------
     let total_instrs = u64::from(shape.code_kb) * 1024 / INSTR_BYTES;
@@ -149,65 +163,59 @@ pub fn build_program(shape: &ProgramShape) -> Program {
     let n_blocks = service_base + services * service_blocks;
 
     let mut blocks: Vec<BasicBlock> = Vec::with_capacity(n_blocks as usize);
+    // Templates go straight into the program's arena; every block fits in
+    // the reservation, so it never reallocates.
+    let mut instrs: Vec<InstrTemplate> = Vec::with_capacity(n_blocks as usize * MAX_BLOCK_INSTRS);
+    let mut indirect_tables = Vec::new();
+    let mut loops = 0u32;
     let mut addr = CODE_BASE;
-    let make_instrs = |rng: &mut Rng| -> Vec<InstrTemplate> {
+    let mut push_block = |term: Terminator, rng: &mut Rng| {
         let span = 7.min(avg as i64 - 3).max(1) as u64;
-        let len = (avg as i64 - 3 + rng.below(2 * span + 1) as i64).clamp(3, 16) as usize;
-        (0..len)
-            .map(|slot| {
-                let r = rng.f64();
-                // The last slot is the block's control-transfer instruction
-                // and must not be a memory op.
-                let kind = if slot + 1 == len {
-                    InstrKind::Alu
-                } else if r < shape.load_frac {
-                    let (wh, ww, _ws) = shape.data_weights;
-                    let pick = rng.f64();
-                    if pick < wh {
-                        InstrKind::Load(0)
-                    } else if pick < wh + ww {
-                        InstrKind::Load(1)
-                    } else {
-                        InstrKind::Load(2)
-                    }
-                } else if r < shape.load_frac + shape.store_frac {
-                    let (wh, ww, _ws) = shape.data_weights;
-                    let pick = rng.f64();
-                    if pick < wh {
-                        InstrKind::Store(0)
-                    } else if pick < wh + ww {
-                        InstrKind::Store(1)
-                    } else {
-                        InstrKind::Store(2)
-                    }
+        let len = (avg as i64 - 3 + rng.below(2 * span + 1) as i64)
+            .clamp(3, MAX_BLOCK_INSTRS as i64) as usize;
+        let first = instrs.len();
+        instrs.extend((0..len).map(|slot| {
+            let r = rng.f64();
+            // The last slot is the block's control-transfer instruction
+            // and must not be a memory op.
+            let kind = if slot + 1 == len {
+                InstrKind::Alu
+            } else if r < shape.load_frac {
+                let (wh, ww, _ws) = shape.data_weights;
+                let pick = rng.f64();
+                if pick < wh {
+                    InstrKind::Load(0)
+                } else if pick < wh + ww {
+                    InstrKind::Load(1)
                 } else {
-                    InstrKind::Alu
-                };
-                InstrTemplate {
-                    kind,
-                    dep1: 1 + rng.below(5) as u8,
-                    dep2: if rng.chance(0.3) {
-                        2 + rng.below(8) as u8
-                    } else {
-                        0
-                    },
+                    InstrKind::Load(2)
                 }
-            })
-            .collect()
-    };
-    let push_block = |instrs: Vec<InstrTemplate>,
-                      term: Terminator,
-                      blocks: &mut Vec<BasicBlock>,
-                      addr: &mut u64| {
-        let id = blocks.len() as BlockId;
-        let start = *addr;
-        *addr += INSTR_BYTES * instrs.len() as u64;
-        blocks.push(BasicBlock {
-            id,
-            start,
-            instrs,
-            terminator: term,
-        });
+            } else if r < shape.load_frac + shape.store_frac {
+                let (wh, ww, _ws) = shape.data_weights;
+                let pick = rng.f64();
+                if pick < wh {
+                    InstrKind::Store(0)
+                } else if pick < wh + ww {
+                    InstrKind::Store(1)
+                } else {
+                    InstrKind::Store(2)
+                }
+            } else {
+                InstrKind::Alu
+            };
+            InstrTemplate {
+                kind,
+                dep1: 1 + rng.below(5) as u8,
+                dep2: if rng.chance(0.3) {
+                    2 + rng.below(8) as u8
+                } else {
+                    0
+                },
+            }
+        }));
+        let first = u32::try_from(first).expect("arena offsets fit in u32");
+        blocks.push(BasicBlock::new(addr, first, len as u8, term));
+        addr += INSTR_BYTES * len as u64;
     };
 
     // --- Dispatcher -----------------------------------------------------
@@ -215,22 +223,25 @@ pub fn build_program(shape: &ProgramShape) -> Program {
     // request dispatch that returns to block 0.
     for i in 0..dispatcher {
         let term = if i == dispatcher - 1 {
-            Terminator::IndirectCall {
+            indirect_tables.push(IndirectTable {
                 targets: (0..services).map(service_entry).collect(),
                 skew: shape.service_skew,
                 rr_frac: shape.service_rotation,
+            });
+            Terminator::IndirectCall {
+                table: indirect_tables.len() as u32 - 1,
                 ret_to: 0,
             }
         } else if i == dispatcher - 2 && i % LAYOUT_GRANULE != LAYOUT_GRANULE - 1 {
             Terminator::Cond {
                 target: 0,
                 fallthrough: i + 1,
-                behavior: BranchBehavior::Loop { trip: 2 },
+                behavior: loop_branch(2, &mut loops),
             }
         } else {
             Terminator::FallThrough { next: i + 1 }
         };
-        push_block(make_instrs(&mut rng), term, &mut blocks, &mut addr);
+        push_block(term, &mut rng);
     }
 
     // --- Helpers ----------------------------------------------------------
@@ -244,14 +255,12 @@ pub fn build_program(shape: &ProgramShape) -> Program {
                 Terminator::Cond {
                     target: base + j - 1,
                     fallthrough: base + j + 1,
-                    behavior: BranchBehavior::Loop {
-                        trip: 2 + rng.below(3) as u32,
-                    },
+                    behavior: loop_branch(2 + rng.below(3) as u32, &mut loops),
                 }
             } else {
                 Terminator::FallThrough { next: base + j + 1 }
             };
-            push_block(make_instrs(&mut rng), term, &mut blocks, &mut addr);
+            push_block(term, &mut rng);
         }
     }
 
@@ -272,9 +281,7 @@ pub fn build_program(shape: &ProgramShape) -> Program {
                 Terminator::Cond {
                     target: base,
                     fallthrough: next,
-                    behavior: BranchBehavior::Loop {
-                        trip: shape.service_repeat,
-                    },
+                    behavior: loop_branch(shape.service_repeat, &mut loops),
                 }
             } else if id % LAYOUT_GRANULE == LAYOUT_GRANULE - 1 {
                 // Granule-ending blocks may not rely on physical adjacency
@@ -294,9 +301,7 @@ pub fn build_program(shape: &ProgramShape) -> Program {
                     Terminator::Cond {
                         target: id - 1,
                         fallthrough: next,
-                        behavior: BranchBehavior::Loop {
-                            trip: shape.loop_trip.max(2),
-                        },
+                        behavior: loop_branch(shape.loop_trip.max(2), &mut loops),
                     }
                 } else if roll < shape.loop_frac + shape.call_frac && helpers > 0 {
                     Terminator::Call {
@@ -323,7 +328,7 @@ pub fn build_program(shape: &ProgramShape) -> Program {
                     Terminator::FallThrough { next }
                 }
             };
-            push_block(make_instrs(&mut rng), term, &mut blocks, &mut addr);
+            push_block(term, &mut rng);
         }
     }
 
@@ -336,13 +341,7 @@ pub fn build_program(shape: &ProgramShape) -> Program {
     // longer physically adjacent become explicit jumps.
     shuffle_layout(&mut blocks, &mut rng);
 
-    let mut program = Program {
-        blocks,
-        entry: 0,
-        streams,
-        by_start: Default::default(),
-    };
-    program.index();
+    let program = Program::new(blocks, instrs, indirect_tables, 0, streams);
     debug_assert_eq!(program.validate(), Ok(()));
     program
 }
@@ -370,7 +369,7 @@ fn shuffle_layout(blocks: &mut [BasicBlock], rng: &mut Rng) {
     for &gi in &order {
         for b in blocks.iter_mut().skip(gi * g).take(g) {
             b.start = addr;
-            addr += INSTR_BYTES * b.instrs.len() as u64;
+            addr = b.end();
         }
     }
     // Fix up adjacency-dependent terminators.
@@ -403,7 +402,7 @@ mod tests {
     fn tiny_program_is_valid() {
         let p = build_program(&ProgramShape::tiny());
         assert_eq!(p.validate(), Ok(()));
-        assert!(p.blocks.len() >= 16);
+        assert!(p.blocks().len() >= 16);
     }
 
     #[test]
@@ -444,10 +443,13 @@ mod tests {
     fn dispatcher_ends_with_indirect_dispatch() {
         let shape = ProgramShape::tiny();
         let p = build_program(&shape);
-        let dispatch = &p.blocks[(shape.dispatcher_blocks.clamp(3, 16) - 1) as usize];
-        match &dispatch.terminator {
-            Terminator::IndirectCall { targets, .. } => {
-                assert_eq!(targets.len(), shape.num_services as usize);
+        let dispatch = p.block(shape.dispatcher_blocks.clamp(3, 16) - 1);
+        match dispatch.terminator {
+            Terminator::IndirectCall { table, .. } => {
+                assert_eq!(
+                    p.indirect_table(table).targets.len(),
+                    shape.num_services as usize
+                );
             }
             other => panic!("expected indirect dispatch, got {other:?}"),
         }
@@ -457,16 +459,16 @@ mod tests {
     fn layout_is_packed_granule_wise_and_entry_first() {
         let p = build_program(&ProgramShape::tiny());
         // Entry granule stays at the base address.
-        assert_eq!(p.blocks[0].start, CODE_BASE);
+        assert_eq!(p.blocks()[0].start, CODE_BASE);
         // Within each granule, blocks are physically contiguous.
         let g = LAYOUT_GRANULE as usize;
-        for chunk in p.blocks.chunks(g) {
+        for chunk in p.blocks().chunks(g) {
             for w in chunk.windows(2) {
                 assert_eq!(w[0].end(), w[1].start, "granule blocks contiguous");
             }
         }
         // The address space is packed overall: total span == total bytes.
-        let max_end = p.blocks.iter().map(|b| b.end()).max().unwrap();
+        let max_end = p.blocks().iter().map(|b| b.end()).max().unwrap();
         assert_eq!(max_end - CODE_BASE, p.code_bytes());
     }
 
@@ -478,10 +480,10 @@ mod tests {
                 code_kb: 64,
                 ..ProgramShape::tiny()
             });
-            for b in &p.blocks {
+            for b in p.blocks() {
                 if let crate::program::Terminator::Cond { fallthrough, .. } = b.terminator {
                     assert_eq!(
-                        p.blocks[fallthrough as usize].start,
+                        p.blocks()[fallthrough as usize].start,
                         b.end(),
                         "cond fall-through adjacency (seed {seed})"
                     );
@@ -500,9 +502,9 @@ mod tests {
         let g = LAYOUT_GRANULE as usize;
         let mut adjacent = 0;
         let mut total = 0;
-        for i in (0..p.blocks.len().saturating_sub(2 * g)).step_by(g) {
+        for i in (0..p.blocks().len().saturating_sub(2 * g)).step_by(g) {
             total += 1;
-            if p.blocks[i + g].start == p.blocks[i + g - 1].end() {
+            if p.blocks()[i + g].start == p.blocks()[i + g - 1].end() {
                 adjacent += 1;
             }
         }

@@ -52,7 +52,9 @@ pub use behavior::{BranchBehavior, DataStream};
 pub use builder::build_program;
 pub use builder::ProgramShape;
 pub use profiles::Profile;
-pub use program::{BasicBlock, BlockId, InstrKind, InstrTemplate, Program, TermClass, Terminator};
+pub use program::{
+    BasicBlock, BlockId, IndirectTable, InstrKind, InstrTemplate, Program, TermClass, Terminator,
+};
 pub use store::shared_program;
 pub use trace::{TraceReader, TraceWriter};
 pub use walker::{DynBlock, DynInstr, DynOp, Walker};

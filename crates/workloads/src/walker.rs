@@ -2,7 +2,9 @@
 //! committed-path dynamic instruction stream the simulator consumes.
 
 use crate::behavior::StreamCursor;
-use crate::program::{BlockId, InstrKind, Program, TermClass, Terminator, INSTR_BYTES};
+use crate::program::{
+    BlockId, IndirectTable, InstrKind, Program, TermClass, Terminator, INSTR_BYTES,
+};
 use crate::rng::Rng;
 
 /// Maximum call-stack depth the walker tracks; deeper calls drop the oldest
@@ -60,9 +62,9 @@ pub struct Walker<'p> {
     program: &'p Program,
     rng: Rng,
     current: BlockId,
-    /// Per-block loop counters (conditional backedges).
+    /// Iteration counters of the program's loop branches, by loop slot.
     loop_counters: Vec<u32>,
-    /// Per-block rotation cursors for round-robin indirect dispatch.
+    /// Rotation cursors for round-robin indirect dispatch, by callee table.
     rotations: Vec<u32>,
     /// Per-stream cursors.
     cursors: Vec<StreamCursor>,
@@ -78,8 +80,8 @@ impl<'p> Walker<'p> {
             program,
             rng: Rng::new(seed ^ 0x3A1C),
             current: program.entry,
-            loop_counters: vec![0; program.blocks.len()],
-            rotations: vec![0; program.blocks.len()],
+            loop_counters: vec![0; program.loop_slots()],
+            rotations: vec![0; program.num_indirect_tables()],
             cursors: vec![StreamCursor::default(); program.streams.len()],
             call_stack: Vec::with_capacity(MAX_CALL_DEPTH),
             blocks_executed: 0,
@@ -106,17 +108,20 @@ impl<'p> Walker<'p> {
     /// `out` (which is *not* cleared) and returns the block's ground truth,
     /// advancing to the successor.
     pub fn emit_block(&mut self, out: &mut Vec<DynInstr>) -> DynBlock {
-        let block = self.program.block(self.current);
-        let n = block.instrs.len();
-        for (i, t) in block.instrs.iter().enumerate() {
+        let program = self.program;
+        let id = self.current;
+        let block = program.block(id);
+        let instrs = program.instrs(block);
+        let n = instrs.len();
+        for (i, t) in instrs.iter().enumerate() {
             let op = match t.kind {
                 InstrKind::Alu => DynOp::Alu,
                 InstrKind::Load(s) => DynOp::Load(
-                    self.program.streams[s as usize]
+                    program.streams[s as usize]
                         .next_addr(&mut self.cursors[s as usize], &mut self.rng),
                 ),
                 InstrKind::Store(s) => DynOp::Store(
-                    self.program.streams[s as usize]
+                    program.streams[s as usize]
                         .next_addr(&mut self.cursors[s as usize], &mut self.rng),
                 ),
             };
@@ -128,10 +133,10 @@ impl<'p> Walker<'p> {
                 is_terminator: i == n - 1,
             });
         }
-        let (taken, taken_target, next) = self.resolve_terminator(block.id);
-        let next_start = self.program.block(next).start;
+        let (taken, taken_target, next) = self.resolve_terminator(block.terminator);
+        let next_start = program.block(next).start;
         let dyn_block = DynBlock {
-            id: block.id,
+            id,
             start: block.start,
             num_instrs: n as u32,
             class: block.terminator.class(),
@@ -145,34 +150,33 @@ impl<'p> Walker<'p> {
         dyn_block
     }
 
-    /// Resolves the terminator of `id`: `(taken, taken_target, successor)`.
-    fn resolve_terminator(&mut self, id: BlockId) -> (bool, u64, BlockId) {
-        let block = self.program.block(id);
-        match &block.terminator {
+    /// Resolves a terminator: `(taken, taken_target, successor)`.
+    fn resolve_terminator(&mut self, term: Terminator) -> (bool, u64, BlockId) {
+        let program = self.program;
+        match term {
             Terminator::Cond {
                 target,
                 fallthrough,
                 behavior,
             } => {
-                let taken =
-                    behavior.next_outcome(&mut self.loop_counters[id as usize], &mut self.rng);
-                let tgt_addr = self.program.block(*target).start;
-                let next = if taken { *target } else { *fallthrough };
+                let taken = behavior.next_outcome(&mut self.loop_counters, &mut self.rng);
+                let tgt_addr = program.block(target).start;
+                let next = if taken { target } else { fallthrough };
                 (taken, tgt_addr, next)
             }
-            Terminator::Jump { target } => (true, self.program.block(*target).start, *target),
+            Terminator::Jump { target } => (true, program.block(target).start, target),
             Terminator::Call { callee, ret_to } => {
-                self.push_frame(*ret_to);
-                (true, self.program.block(*callee).start, *callee)
+                self.push_frame(ret_to);
+                (true, program.block(callee).start, callee)
             }
-            Terminator::IndirectCall {
-                targets,
-                skew,
-                rr_frac,
-                ret_to,
-            } => {
+            Terminator::IndirectCall { table, ret_to } => {
+                let IndirectTable {
+                    targets,
+                    skew,
+                    rr_frac,
+                } = program.indirect_table(table);
                 let pick = if self.rng.chance(*rr_frac) {
-                    let cursor = &mut self.rotations[id as usize];
+                    let cursor = &mut self.rotations[table as usize];
                     let pick = *cursor as usize % targets.len();
                     *cursor = cursor.wrapping_add(1);
                     pick
@@ -180,14 +184,14 @@ impl<'p> Walker<'p> {
                     self.rng.zipf(targets.len(), *skew)
                 };
                 let callee = targets[pick];
-                self.push_frame(*ret_to);
-                (true, self.program.block(callee).start, callee)
+                self.push_frame(ret_to);
+                (true, program.block(callee).start, callee)
             }
             Terminator::Return => {
-                let ret = self.call_stack.pop().unwrap_or(self.program.entry);
-                (true, self.program.block(ret).start, ret)
+                let ret = self.call_stack.pop().unwrap_or(program.entry);
+                (true, program.block(ret).start, ret)
             }
-            Terminator::FallThrough { next } => (false, self.program.block(*next).start, *next),
+            Terminator::FallThrough { next } => (false, program.block(next).start, next),
         }
     }
 
@@ -287,10 +291,10 @@ mod tests {
         }
         // Should cover a healthy fraction of static blocks.
         assert!(
-            seen.len() * 2 > p.blocks.len(),
+            seen.len() * 2 > p.blocks().len(),
             "visited {}/{}",
             seen.len(),
-            p.blocks.len()
+            p.blocks().len()
         );
     }
 

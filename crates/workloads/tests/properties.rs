@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use emissary_workloads::builder::{build_program, ProgramShape, LAYOUT_GRANULE};
-use emissary_workloads::program::Terminator;
+use emissary_workloads::program::{Terminator, CODE_BASE, INSTR_BYTES};
 use emissary_workloads::walker::Walker;
 
 fn shape_strategy() -> impl Strategy<Value = ProgramShape> {
@@ -40,20 +40,55 @@ proptest! {
         let p = build_program(&shape);
         prop_assert_eq!(p.validate(), Ok(()));
         // No overlapping blocks: starts unique and spans disjoint.
-        let mut spans: Vec<(u64, u64)> = p.blocks.iter().map(|b| (b.start, b.end())).collect();
+        let mut spans: Vec<(u64, u64)> = p.blocks().iter().map(|b| (b.start, b.end())).collect();
         spans.sort_unstable();
         for w in spans.windows(2) {
             prop_assert!(w[0].1 <= w[1].0, "overlapping blocks");
         }
-        for b in &p.blocks {
+        for b in p.blocks() {
             if let Terminator::Cond { fallthrough, .. } = b.terminator {
-                prop_assert_eq!(p.blocks[fallthrough as usize].start, b.end());
+                prop_assert_eq!(p.block(fallthrough).start, b.end());
             }
             if let Terminator::FallThrough { next } = b.terminator {
-                prop_assert_eq!(p.blocks[next as usize].start, b.end());
+                prop_assert_eq!(p.block(next).start, b.end());
             }
         }
         let _ = LAYOUT_GRANULE;
+    }
+
+    /// The address index is exact: `block_at(b.start)` is `b` for every
+    /// block, and every other 4-aligned address from 64 bytes below the
+    /// code region to 64 bytes past it finds nothing. Block instruction
+    /// slices tile the arena with no gap or overlap.
+    #[test]
+    fn block_index_is_exact_and_slices_tile_the_arena(shape in shape_strategy()) {
+        let p = build_program(&shape);
+        let end = CODE_BASE + p.code_bytes();
+        let mut starts = std::collections::HashSet::new();
+        for b in p.blocks() {
+            let found = p.block_at(b.start);
+            prop_assert!(found.is_some_and(|f| std::ptr::eq(f, b)), "block at {:#x}", b.start);
+            starts.insert(b.start);
+        }
+        let mut addr = CODE_BASE - 64;
+        while addr < end + 64 {
+            if !starts.contains(&addr) {
+                prop_assert!(p.block_at(addr).is_none(), "phantom block at {:#x}", addr);
+            }
+            addr += INSTR_BYTES;
+        }
+        let mut ranges: Vec<_> = p.blocks().iter().map(|b| b.instr_range()).collect();
+        ranges.sort_unstable_by_key(|r| r.start);
+        let mut next = 0;
+        for r in ranges {
+            prop_assert_eq!(r.start, next, "gap or overlap in the arena");
+            prop_assert!(r.end > r.start, "empty block");
+            next = r.end;
+        }
+        prop_assert_eq!(next as u64, p.code_bytes() / INSTR_BYTES);
+        for b in p.blocks() {
+            prop_assert_eq!(p.instrs(b).len() as u32, b.num_instrs());
+        }
     }
 
     /// The walker runs without panicking, keeps call depth bounded, and
